@@ -110,9 +110,9 @@ struct ResultArtifact {
 /// disk and compared against goldens.
 [[nodiscard]] std::string render_artifact(const ResultArtifact& artifact);
 
-/// Atomically writes render_artifact() to `path` (tmp + fsync + rename,
-/// same discipline as checkpoints). Throws std::runtime_error on IO
-/// failure, leaving any previous file intact.
+/// Atomically writes render_artifact() to `path` (common::write_atomic,
+/// like every durable file). Throws std::runtime_error on IO failure,
+/// leaving any previous file intact.
 void write_artifact(const ResultArtifact& artifact, const std::string& path);
 
 /// Validates artifact text: header line, version, and the CRC trailer

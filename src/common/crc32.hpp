@@ -1,12 +1,14 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte
-// buffers — used by the checkpoint writer to make on-disk corruption
-// (bit flips, truncation, trailing garbage) detectable before any field
-// is parsed. Table-driven, one 1 KiB table built on first use.
+// buffers — used by the durable file envelopes (common/durable.hpp) to
+// make on-disk corruption (bit flips, truncation, trailing garbage)
+// detectable before any field is parsed, and by the scenario digest.
+// Table-driven, one 1 KiB table built on first use.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace iba::common {
@@ -40,6 +42,16 @@ inline const std::array<std::uint32_t, 256>& crc32_table() noexcept {
     crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+/// crc32(`data`) as 8 lowercase hex digits — the rendering of scenario
+/// digests, engine fingerprints and the `crc32 = ` file trailer.
+[[nodiscard]] inline std::string crc32_hex(std::string_view data) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const std::uint32_t crc = crc32(data);
+  std::string out(8, '0');
+  for (int i = 0; i < 8; ++i) out[i] = kHex[(crc >> (28 - 4 * i)) & 0xFu];
+  return out;
 }
 
 }  // namespace iba::common

@@ -25,9 +25,10 @@
 // kMsgCheckpoint's gc_path for shards), so a crash mid-save always
 // leaves the previous generation fully intact.
 //
-// All three files use the repo's standard CRC-bound text envelope
-// (`<magic> <version> <crc32> <bytes>` header + body + `end`), written
-// atomically (tmp + fsync + rename).
+// All three files use the repo's leading-header CRC envelope
+// (`<magic> <version> <crc32> <bytes>` header + body + `end`) and are
+// written by common::write_atomic (tmp + fsync + rename + directory
+// fsync), both from common/durable.hpp.
 #pragma once
 
 #include <cstdint>

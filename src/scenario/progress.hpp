@@ -1,7 +1,8 @@
-// Measured-window accumulators, the `<checkpoint>.progress` sidecar,
-// and the artifact-assembly helpers shared by every scenario runner —
-// the single-process run_scenario (scenario/runner.cpp) and the
-// distributed coordinator loop (dist/runner.cpp).
+// Measured-window accumulators, the `<checkpoint>.progress` and
+// `<checkpoint>.record` sidecars, and the artifact-assembly helpers
+// shared by every scenario runner — the single-process run_scenario
+// (scenario/runner.cpp) and the distributed coordinator loop
+// (dist/runner.cpp).
 //
 // Sharing is what keeps the two byte-identical: the accumulators, the
 // sidecar format, the expectation evaluation and the artifact field
@@ -21,6 +22,11 @@
 #include "core/capped.hpp"
 #include "core/metrics.hpp"
 #include "scenario/scenario.hpp"
+
+namespace iba::telemetry {
+class FlightRecorder;
+class TimeSeries;
+}  // namespace iba::telemetry
 
 namespace iba::scenario {
 
@@ -46,7 +52,7 @@ struct Progress {
   std::uint64_t oldest_age_max = 0;
 };
 
-/// Atomically writes the CRC-bound sidecar (tmp + fsync + rename).
+/// Atomically writes the CRC-bound sidecar (common::write_atomic).
 /// Throws std::runtime_error on IO failure.
 void save_progress(const Progress& progress, const std::string& path);
 
@@ -54,16 +60,25 @@ void save_progress(const Progress& progress, const std::string& path);
 /// errors, bad header, CRC mismatch, or malformed fields.
 [[nodiscard]] Progress load_progress(const std::string& path);
 
+/// Atomically writes the `<checkpoint>.record` sidecar of a recording
+/// run: the time-series rings and the flight recorder's logs and latch,
+/// which checkpoint v3 does not carry. Throws std::runtime_error on IO
+/// failure.
+void save_record_sidecar(const telemetry::TimeSeries& series,
+                         const telemetry::FlightRecorder& recorder,
+                         const std::string& path);
+
+/// Reads and validates a record sidecar and restores both instruments
+/// from it. Throws std::runtime_error on IO errors, bad header, CRC
+/// mismatch, or malformed state.
+void load_record_sidecar(telemetry::TimeSeries& series,
+                         telemetry::FlightRecorder& recorder,
+                         const std::string& path);
+
 /// Folds one measured-window (post-burn-in) round into the accumulators.
 /// Callers update rounds_done themselves — burn-in rounds advance it
 /// without contributing here.
 void accumulate_progress(Progress& progress, const core::RoundMetrics& m);
-
-/// Atomic text write (tmp + fsync + rename), shared by sidecars and
-/// time-series outputs. Throws std::runtime_error prefixed with
-/// `context` on failure, leaving any previous file intact.
-void write_text_atomic(const std::string& text, const std::string& path,
-                       const std::string& context);
 
 /// Lifetime counters + wait state a finished run contributes to the
 /// artifact — the process-side complement of Progress.

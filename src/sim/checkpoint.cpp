@@ -1,28 +1,25 @@
 #include "sim/checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "common/crc32.hpp"
+#include "common/durable.hpp"
 
 namespace iba::sim {
 
 namespace {
 
-constexpr const char* kMagic = "iba-checkpoint";
+constexpr std::string_view kMagic = "iba-checkpoint";
+constexpr const char* kContext = "checkpoint";
 // v3 adds the adaptive-control fields (config + controller state).
 // v2 files (no control plane) still load, with control disabled.
-constexpr int kVersion = 3;
-constexpr int kMinVersion = 2;
+constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kMinVersion = 2;
 
 [[noreturn]] void fail(const std::string& why) {
-  throw std::runtime_error("checkpoint: " + why);
+  throw std::runtime_error(std::string(kContext) + ": " + why);
 }
 
 template <typename T>
@@ -246,39 +243,9 @@ std::string render_body(const Checkpoint& checkpoint) {
 }  // namespace
 
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
-  const std::string body = render_body(checkpoint);
-  std::ostringstream header;
-  header << kMagic << ' ' << kVersion << ' ' << common::crc32(body) << ' '
-         << body.size() << '\n';
-  const std::string head = header.str();
-
-  // Crash-safe write: tmp file, flush, fsync, atomic rename. A crash at
-  // any point leaves either the old checkpoint or the complete new one.
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) fail("cannot open for writing: " + tmp);
-  bool ok = std::fwrite(head.data(), 1, head.size(), out) == head.size() &&
-            std::fwrite(body.data(), 1, body.size(), out) == body.size() &&
-            std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-  ok = (std::fclose(out) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    fail("write error: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("cannot rename " + tmp + " -> " + path);
-  }
-  // Persist the rename itself (directory entry) where possible.
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dirfd = ::open(dir.c_str(), O_RDONLY);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
-    ::close(dirfd);
-  }
+  common::write_atomic(
+      path, common::seal_envelope(kMagic, kVersion, render_body(checkpoint)),
+      kContext);
 }
 
 void save_checkpoint(const core::CappedSnapshot& snapshot,
@@ -289,29 +256,10 @@ void save_checkpoint(const core::CappedSnapshot& snapshot,
 }
 
 Checkpoint load_checkpoint_full(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) fail("cannot open for reading: " + path);
-
-  std::string header_line;
-  if (!std::getline(file, header_line)) fail("truncated/invalid field: header");
-  std::istringstream header(header_line);
-  const auto magic = read_value<std::string>(header, "magic");
-  if (magic != kMagic) fail("bad magic '" + magic + "'");
-  const auto version = read_value<int>(header, "version");
-  if (version < kMinVersion || version > kVersion) {
-    fail("unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kMinVersion) + ".." + std::to_string(kVersion) + ")");
-  }
-  const auto crc = read_value<std::uint32_t>(header, "crc32");
-  const auto length = read_value<std::uint64_t>(header, "body length");
-
-  std::string body((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  if (body.size() != length) {
-    fail("body length mismatch: header says " + std::to_string(length) +
-         " bytes, file has " + std::to_string(body.size()));
-  }
-  if (common::crc32(body) != crc) fail("CRC mismatch (corrupt file)");
+  const common::Envelope envelope =
+      common::open_envelope(path, kMagic, kMinVersion, kVersion, kContext);
+  const std::uint32_t version = envelope.version;
+  const std::string& body = envelope.body;
 
   std::istringstream in(body);
   Checkpoint checkpoint;
