@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -129,17 +130,41 @@ void BM_BinTablePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_BinTablePushPop);
 
+/// The table behind BM_AliasSample and BM_AliasFill: Zipf s = 0.5 over
+/// 2^16 bins, the bin skew of the benchmark's ops_mix workload.
+const rng::AliasTable& micro_alias_table() {
+  static const rng::AliasTable table = [] {
+    std::vector<double> weights(1 << 16);
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      weights[i] = std::pow(static_cast<double>(i) + 1.0, -0.5);
+    }
+    return rng::AliasTable(weights);
+  }();
+  return table;
+}
+
 void BM_AliasSample(benchmark::State& state) {
-  std::vector<double> weights(1 << 13);
-  core::Engine seed_engine(5);
-  for (auto& w : weights) w = 1.0 + rng::uniform01(seed_engine) * 3.0;
-  const rng::AliasTable table(weights);
+  const rng::AliasTable& table = micro_alias_table();
   core::Engine engine(6);
   std::uint64_t sink = 0;
   for (auto _ : state) sink += table.sample(engine);
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_AliasSample);
+
+/// Batched draws of arg balls per call; items/s gives the per-ball rate.
+void BM_AliasFill(benchmark::State& state) {
+  const rng::AliasTable& table = micro_alias_table();
+  core::Engine engine(6);
+  std::vector<std::uint32_t> out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    table.fill(engine, std::span<std::uint32_t>(out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_AliasFill)->Arg(1 << 16);
 
 void BM_P2QuantileAdd(benchmark::State& state) {
   stats::P2Quantile p99(0.99);

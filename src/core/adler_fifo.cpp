@@ -55,6 +55,7 @@ RoundMetrics AdlerFifo::step() {
 
   // Service: each bin pops tombstoned (already served) copies for free,
   // then serves its first live ball, if any.
+  RoundWaits round_waits;
   for (Queue& queue : queues_) {
     while (queue.head < queue.items.size() &&
            balls_[queue.items[queue.head]].served) {
@@ -72,14 +73,9 @@ RoundMetrics AdlerFifo::step() {
     ++queue.head;
     BallRecord& ball = balls_[id];
     ball.served = true;
-    const std::uint64_t wait = round_ - ball.birth;
+    round_waits.add(round_ - ball.birth);
     release_copy(id);
-    waits_.record(wait);
     --in_flight_;
-    ++m.deleted;
-    ++m.wait_count;
-    m.wait_sum += static_cast<double>(wait);
-    if (wait > m.wait_max) m.wait_max = wait;
     if (queue.head >= 64 && queue.head * 2 >= queue.items.size()) {
       queue.items.erase(queue.items.begin(),
                         queue.items.begin() +
@@ -87,6 +83,8 @@ RoundMetrics AdlerFifo::step() {
       queue.head = 0;
     }
   }
+  waits_.merge(round_waits);
+  round_waits.report(m);
 
   m.pool_size = 0;
   m.total_load = in_flight_;

@@ -418,11 +418,12 @@ RoundMetrics Capped::allocate_and_delete(
   // in one chunked sweep (and computes the end-of-round load stats). The
   // kernel times itself internally, splitting the sweep between kAccept
   // and kDelete so phase attribution matches the unfused kernels.
+  RoundWaits waits;
   bool load_stats_done = false;
   bool fused = false;
   if (config_.kernel == RoundKernel::kBinMajor && config_.shards == 1 &&
       !tracing && !infinite() && choices.size() <= kMaxKernelThrows) {
-    fused = round_fused(choices, m);
+    fused = round_fused(choices, m, waits);
   }
   if (fused) {
     load_stats_done = true;
@@ -453,15 +454,17 @@ RoundMetrics Capped::allocate_and_delete(
     telemetry::ScopedPhaseTimer delete_timer(timers_,
                                              telemetry::Phase::kDelete);
     if (config_.kernel == RoundKernel::kBinMajor && config_.shards > 1) {
-      delete_sharded(m);
+      delete_sharded(m, waits);
     } else if (config_.kernel == RoundKernel::kBinMajor) {
-      load_stats_done = delete_bin_major(m);
+      load_stats_done = delete_bin_major(m, waits);
     } else {
-      delete_scalar(m);
+      delete_scalar(m, waits);
     }
-    delete_timer.set_balls(m.deleted);
+    delete_timer.set_balls(waits.count());
     delete_timer.stop();
   }
+  waits_.merge(waits);
+  waits.report(m);
   deleted_total_ += m.deleted;
   if (!requeue_.empty()) merge_requeued_into_pool();
   if constexpr (IBA_TELEMETRY_ENABLED != 0) {
@@ -570,7 +573,7 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
   IBA_ASSERT(idx == choices.size());
 }
 
-void Capped::delete_scalar(RoundMetrics& m) {
+void Capped::delete_scalar(RoundMetrics& m, RoundWaits& waits) {
   const bool failures = config_.failure_probability > 0.0;
   for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
     const std::uint64_t load =
@@ -611,7 +614,7 @@ void Capped::delete_scalar(RoundMetrics& m) {
       }
       continue;  // no service from this bin this round
     }
-    delete_from_bin(bin, m);
+    delete_from_bin(bin, waits);
   }
 }
 
@@ -945,14 +948,14 @@ void Capped::partition_choices_parallel(
 //   heads, labels) L1/L2-resident. It then runs the delete walk over the
 //   same chunk's bins while they are still hot, drawing failure coins and
 //   uniform positions in ascending bin order — the scalar engine
-//   sequence — and recording waits inline (the integer wait accumulator
-//   is order-independent, so mid-sweep recording equals the scalar
-//   path's end-of-round stream bit for bit).
+//   sequence — and adding waits to a round-local RoundWaits, merged
+//   into the run's recorder once per round (its integer sums are
+//   order-independent, so this equals the scalar path bit for bit).
 //
 // Outcome, RNG consumption and metrics are byte-identical to the scalar
 // path; only the memory access order differs.
 bool Capped::round_fused(std::span<const std::uint32_t> choices,
-                         RoundMetrics& m) {
+                         RoundMetrics& m, RoundWaits& waits) {
   const std::uint32_t n = config_.n;
   const std::size_t nu = choices.size();
   flatten_pool_buckets(nu);
@@ -1033,9 +1036,10 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   std::uint64_t accepted = 0;
   std::uint64_t max_load = 0;
   std::uint64_t empty_bins = 0;
-  std::uint64_t wait_count = 0;
-  std::uint64_t wait_sum = 0;
-  std::uint64_t wait_max = 0;
+  // Kept local, not written through `waits`, so the walk's adds stay
+  // in registers instead of storing through a reference the label and
+  // cursor stores may alias.
+  RoundWaits walk_waits;
   std::uint64_t requeued_balls = 0;
   std::size_t p = 0;  // chunk streams are contiguous in part16_
   for (std::uint32_t c = 0; c < n_chunks; ++c) {
@@ -1094,9 +1098,9 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
     if (timing) t_del = std::chrono::steady_clock::now();
 
     // Delete walk over this chunk's bins while their state is hot.
-    // Waits are recorded inline: the integer wait accumulator is
-    // order-independent, so mid-sweep recording matches the scalar
-    // path's end-of-round stream bit for bit.
+    // Waits go to the round-local accumulator: its integer sums are
+    // order-independent, so mid-sweep adds match the scalar path's
+    // bin-order stream bit for bit.
     if (!failures && !faults && discipline != DeletionDiscipline::kUniform) {
       // Failure-free FIFO/LIFO: no engine draws, lean raw-array loop.
       const bool lifo = discipline == DeletionDiscipline::kLifo;
@@ -1120,11 +1124,7 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
           const std::uint32_t next = head + 1 == storage ? 0 : head + 1;
           hs_arr[bin] = (next << kHeadShift) | (load - 1);
         }
-        const std::uint64_t wait = round_ - served;
-        waits_.record(wait);
-        ++wait_count;
-        wait_sum += wait;
-        if (wait > wait_max) wait_max = wait;
+        walk_waits.add(round_ - served);
         empty_bins += static_cast<std::uint64_t>(load == 1);
         if (load - 1 > max_load) max_load = load - 1;
       }
@@ -1176,11 +1176,7 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
             served = bounded_->remove_at(bin, 0);
             break;
         }
-        const std::uint64_t wait = round_ - served;
-        waits_.record(wait);
-        ++wait_count;
-        wait_sum += wait;
-        if (wait > wait_max) wait_max = wait;
+        walk_waits.add(round_ - served);
         empty_bins += static_cast<std::uint64_t>(load == 1);
         if (load - 1 > max_load) max_load = load - 1;
       }
@@ -1194,14 +1190,9 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   }
 
   m.accepted = accepted;
-  m.deleted = wait_count;
-  m.wait_count = wait_count;
-  // Per-round wait sums are far below 2^53, so the double equals the
-  // scalar path's per-ball accumulation exactly.
-  m.wait_sum = static_cast<double>(wait_sum);
-  m.wait_max = wait_max;
+  waits = walk_waits;
   bounded_->adjust_total_load(static_cast<std::int64_t>(accepted) -
-                              static_cast<std::int64_t>(wait_count) -
+                              static_cast<std::int64_t>(waits.count()) -
                               static_cast<std::int64_t>(requeued_balls));
   m.total_load = bounded_->total_load();
   m.max_load = max_load;
@@ -1224,7 +1215,7 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
     const std::uint64_t accept_ns =
         total_ns > delete_ns ? total_ns - delete_ns : 0;
     timers_->add(telemetry::Phase::kAccept, accept_ns, m.thrown);
-    timers_->add(telemetry::Phase::kDelete, delete_ns, m.deleted);
+    timers_->add(telemetry::Phase::kDelete, delete_ns, waits.count());
   }
   return true;
 }
@@ -1262,8 +1253,8 @@ void Capped::emit_throw_traces(std::span<const std::uint32_t> choices) {
 // exact draw sequence of the scalar loop — so the RNG stream, and hence
 // every future round, is invariant in the shard count. Workers then pop
 // over disjoint bin ranges, and a sequential bin-order pass records
-// waits/requeues so even floating-point accumulation order matches.
-void Capped::delete_sharded(RoundMetrics& m) {
+// waits/requeues so the tracer's event stream matches too.
+void Capped::delete_sharded(RoundMetrics& m, RoundWaits& waits) {
   const std::uint32_t n = config_.n;
   const std::uint32_t shards = config_.shards;
   const bool failures = config_.failure_probability > 0.0;
@@ -1360,7 +1351,7 @@ void Capped::delete_sharded(RoundMetrics& m) {
   };
   for (std::uint32_t bin = 0; bin < n; ++bin) {
     if (delete_action_[bin] == kActionServe) {
-      record_wait(bin, deleted_label_[bin], delete_pos_[bin], m);
+      record_wait(bin, deleted_label_[bin], delete_pos_[bin], waits);
     } else if (delete_action_[bin] == kActionCrash) {
       skip_exhausted();
       while (crash_shard < shards) {
@@ -1385,7 +1376,7 @@ void Capped::delete_sharded(RoundMetrics& m) {
 // while each bin's arrays are still in cache. Outcome-, RNG- and
 // trace-identical to delete_scalar; total_load is committed once at the
 // end instead of per pop.
-bool Capped::delete_bin_major(RoundMetrics& m) {
+bool Capped::delete_bin_major(RoundMetrics& m, RoundWaits& waits) {
   const std::uint32_t n = config_.n;
   const bool failures = config_.failure_probability > 0.0;
   const double p_fail = config_.failure_probability;
@@ -1407,7 +1398,7 @@ bool Capped::delete_bin_major(RoundMetrics& m) {
       }
       const std::uint64_t label = unbounded_->remove_front(bin);
       --delta;
-      record_wait(bin, label, 0, m);
+      record_wait(bin, label, 0, waits);
       if (load == 1) {
         ++empty_bins;
       } else if (load - 1 > max_load) {
@@ -1471,7 +1462,7 @@ bool Capped::delete_bin_major(RoundMetrics& m) {
       }
       const std::uint64_t label = bounded_->remove_at(bin, pos);
       --delta;
-      record_wait(bin, label, pos, m);
+      record_wait(bin, label, pos, waits);
       if (load == 1) {
         ++empty_bins;
       } else if (load - 1 > max_load) {
@@ -1487,19 +1478,14 @@ bool Capped::delete_bin_major(RoundMetrics& m) {
 }
 
 void Capped::record_wait(std::uint32_t bin, std::uint64_t label,
-                         std::uint64_t position, RoundMetrics& m) {
+                         std::uint64_t position, RoundWaits& waits) {
   if constexpr (IBA_TELEMETRY_ENABLED != 0) {
     if (tracer_ != nullptr) tracer_->on_delete(bin, label, position);
   } else {
     (void)bin;
     (void)position;
   }
-  const std::uint64_t wait = round_ - label;
-  waits_.record(wait);
-  ++m.deleted;
-  ++m.wait_count;
-  m.wait_sum += static_cast<double>(wait);
-  if (wait > m.wait_max) m.wait_max = wait;
+  waits.add(round_ - label);
 }
 
 void Capped::ensure_shard_pool() {
@@ -1593,7 +1579,7 @@ void Capped::merge_requeued_into_pool() {
   requeue_.clear();
 }
 
-void Capped::delete_from_bin(std::uint32_t bin, RoundMetrics& m) {
+void Capped::delete_from_bin(std::uint32_t bin, RoundWaits& waits) {
   std::uint64_t label;
   std::uint64_t position = 0;  // queue index served
   if (infinite()) {
@@ -1615,7 +1601,7 @@ void Capped::delete_from_bin(std::uint32_t bin, RoundMetrics& m) {
         label = bounded_->pop_front(bin);
     }
   }
-  record_wait(bin, label, position, m);
+  record_wait(bin, label, position, waits);
 }
 
 }  // namespace iba::core

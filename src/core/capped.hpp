@@ -399,11 +399,11 @@ class Capped {
   void record_time_series(const RoundMetrics& m);
   RoundMetrics allocate_and_delete(const Admission& admission,
                                    std::span<const std::uint32_t> choices);
-  void delete_from_bin(std::uint32_t bin, RoundMetrics& m);
+  void delete_from_bin(std::uint32_t bin, RoundWaits& waits);
 
   // -- scalar (ball-at-a-time) round path --
   void accept_scalar(std::span<const std::uint32_t> choices, RoundMetrics& m);
-  void delete_scalar(RoundMetrics& m);
+  void delete_scalar(RoundMetrics& m, RoundWaits& waits);
 
   // -- bin-major round kernel (see docs/PERFORMANCE.md) --
   void accept_bin_major(std::span<const std::uint32_t> choices,
@@ -415,7 +415,8 @@ class Capped {
   /// cache-hot. Returns false (nothing mutated) when the pool's bucket
   /// count makes the partition bookkeeping uneconomical; callers then use
   /// the flat paths.
-  bool round_fused(std::span<const std::uint32_t> choices, RoundMetrics& m);
+  bool round_fused(std::span<const std::uint32_t> choices, RoundMetrics& m,
+                   RoundWaits& waits);
   /// preserving the scalar path's exact accumulation order.
   void scatter_and_accept_range(std::span<const std::uint32_t> choices,
                                 std::size_t shard, std::uint32_t bin_begin,
@@ -424,10 +425,11 @@ class Capped {
   /// Fused single-pass deletion for the unsharded bin-major kernel; also
   /// computes m.total_load / max_load / empty_bins (returns true when it
   /// did, so the caller skips the end-of-round scans).
-  bool delete_bin_major(RoundMetrics& m);
-  void delete_sharded(RoundMetrics& m);
+  bool delete_bin_major(RoundMetrics& m, RoundWaits& waits);
+  void delete_sharded(RoundMetrics& m, RoundWaits& waits);
+  /// Reports a deletion to the tracer and adds its wait to the round.
   void record_wait(std::uint32_t bin, std::uint64_t label,
-                   std::uint64_t position, RoundMetrics& m);
+                   std::uint64_t position, RoundWaits& waits);
   void run_sharded(const std::function<void(std::size_t, std::size_t,
                                             std::size_t)>& fn);
   /// Like run_sharded but partitions [0, count) items (throw indices)

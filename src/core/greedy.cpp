@@ -42,16 +42,13 @@ RoundMetrics BatchGreedy::step() {
     ++m.accepted;
   }
 
+  RoundWaits round_waits;
   for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
     if (bins_.load(bin) == 0) continue;
-    const std::uint64_t label = bins_.pop_front(bin);
-    const std::uint64_t wait = round_ - label;
-    waits_.record(wait);
-    ++m.deleted;
-    ++m.wait_count;
-    m.wait_sum += static_cast<double>(wait);
-    if (wait > m.wait_max) m.wait_max = wait;
+    round_waits.add(round_ - bins_.pop_front(bin));
   }
+  waits_.merge(round_waits);
+  round_waits.report(m);
 
   m.pool_size = 0;  // GREEDY[d] has no pool: every ball is queued at once
   m.total_load = bins_.total_load();

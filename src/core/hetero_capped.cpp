@@ -62,13 +62,20 @@ RoundMetrics HeteroCapped::step() {
   m.generated = lambda_n_;
   m.thrown = pool_.total();
 
+  // The round's choices in one batched draw: nothing else draws inside
+  // the accept loop, so the stream equals one draw per visited ball.
   const auto n = static_cast<std::uint32_t>(capacities_.size());
+  choices_.resize(m.thrown);
+  if (uniform_selection_) {
+    rng::fill_bounded(engine_, choices_, n);
+  } else {
+    selector_.fill(engine_, choices_);
+  }
   survivors_.clear();
+  std::size_t idx = 0;
   for (const auto& bucket : pool_.buckets()) {
     for (std::uint64_t k = 0; k < bucket.count; ++k) {
-      const std::uint32_t bin = uniform_selection_
-                                    ? rng::bounded32(engine_, n)
-                                    : selector_.sample(engine_);
+      const std::uint32_t bin = choices_[idx++];
       Queue& queue = queues_[bin];
       if (queue.size() < capacities_[bin]) {
         queue.labels.push_back(bucket.label);
@@ -83,6 +90,7 @@ RoundMetrics HeteroCapped::step() {
 
   std::uint64_t max_load = 0;
   std::uint32_t empty = 0;
+  RoundWaits round_waits;
   for (Queue& queue : queues_) {
     if (queue.size() > 0) {
       const std::uint64_t label = queue.labels[queue.head++];
@@ -93,16 +101,13 @@ RoundMetrics HeteroCapped::step() {
         queue.head = 0;
       }
       --total_load_;
-      const std::uint64_t wait = round_ - label;
-      waits_.record(wait);
-      ++m.deleted;
-      ++m.wait_count;
-      m.wait_sum += static_cast<double>(wait);
-      if (wait > m.wait_max) m.wait_max = wait;
+      round_waits.add(round_ - label);
     }
     max_load = std::max<std::uint64_t>(max_load, queue.size());
     if (queue.size() == 0) ++empty;
   }
+  waits_.merge(round_waits);
+  round_waits.report(m);
   deleted_total_ += m.deleted;
 
   m.pool_size = pool_.total();

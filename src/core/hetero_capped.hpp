@@ -93,6 +93,7 @@ class HeteroCapped {
   queueing::AgedPool pool_;
   queueing::AgedPool survivors_;
   std::vector<Queue> queues_;
+  std::vector<std::uint32_t> choices_;  // per-round scratch
   std::uint64_t total_load_ = 0;
   WaitRecorder waits_;
   std::uint64_t generated_total_ = 0;

@@ -3,6 +3,8 @@
 // evaluation (Figures 4 and 5) is built from.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 
 #include "stats/histogram.hpp"
@@ -42,6 +44,53 @@ struct RoundMetrics {
                                  ///< draining, or straggling) this round
 };
 
+/// The waiting times of one round's deleted balls: exact integer
+/// moments, a 65-bin log₂ histogram (bins as in stats::Log2Histogram)
+/// and the max. A kernel keeps one on its own stack, so the per-ball
+/// add() stays in registers and a small local array instead of storing
+/// through the process object, and merges it into the run's
+/// WaitRecorder once per round. The sums commute, so the recorder ends
+/// bit-identical to recording each ball.
+class RoundWaits {
+ public:
+  void add(std::uint64_t wait) noexcept {
+    moments_.add(wait);
+    ++bins_[std::bit_width(wait)];
+    if (wait > max_) max_ = wait;
+  }
+
+  [[nodiscard]] std::uint64_t count() const noexcept {
+    return moments_.count();
+  }
+  [[nodiscard]] std::uint64_t max() const noexcept { return max_; }
+  [[nodiscard]] const stats::UintMoments& moments() const noexcept {
+    return moments_;
+  }
+  /// The round's histogram, shaped exactly as per-ball add()s build it.
+  [[nodiscard]] stats::Log2Histogram histogram() const {
+    stats::Log2Histogram h;
+    h.merge_counts(bins_, max_);
+    return h;
+  }
+
+  /// Sets the round's deletion and wait fields: every deleted ball
+  /// contributes its wait. Per-round sums are far below 2^53, so the
+  /// double wait_sum equals a per-ball floating-point accumulation.
+  void report(RoundMetrics& m) const noexcept {
+    m.deleted = moments_.count();
+    m.wait_count = moments_.count();
+    m.wait_sum = static_cast<double>(moments_.sum());
+    m.wait_max = max_;
+  }
+
+ private:
+  friend class WaitRecorder;
+
+  stats::UintMoments moments_;
+  std::array<std::uint64_t, 65> bins_{};
+  std::uint64_t max_ = 0;
+};
+
 /// Accumulates the waiting times of every deleted ball over a run:
 /// moments for the average, a dyadic histogram for tail quantiles, and
 /// the exact maximum.
@@ -52,6 +101,11 @@ class WaitRecorder {
     histogram_.add(wait);
   }
 
+  /// Adds one round's waits; equal to record()ing each of them.
+  void merge(const RoundWaits& round) {
+    moments_.merge(round.moments_);
+    histogram_.merge_counts(round.bins_, round.max_);
+  }
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return moments_.count();
@@ -88,10 +142,10 @@ class WaitRecorder {
   }
 
  private:
-  // Exact integer accumulation (Σw in 64 bits, Σw² in 128): cheap on
-  // the per-deleted-ball hot path — no serial FP dependency chain — and
-  // order-independent, which lets the fused bin-major kernel record
-  // waits mid-sweep and still match the scalar path bit for bit.
+  // Exact integer accumulation (Σw in 64 bits, Σw² in 128): no serial
+  // FP dependency chain, and order-independent, which lets every kernel
+  // batch a round's waits in a RoundWaits and still match the scalar
+  // path bit for bit.
   stats::UintMoments moments_;
   stats::Log2Histogram histogram_;
 };

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/assert.hpp"
+#include "core/metrics.hpp"
 #include "dist/checkpoint.hpp"
 
 namespace iba::dist {
@@ -126,26 +127,22 @@ void Worker::handle_round(const RoundMsg& msg) {
   // Deletion: every non-empty bin serves its FIFO front; the served
   // ball's wait is its age. Draws nothing — this is what lets deletion
   // run worker-side at all.
-  wait_moments_ = stats::UintMoments{};
-  wait_histogram_ = stats::Log2Histogram{};
+  core::RoundWaits waits;
   for (std::uint32_t bin = 0; bin < bin_count_; ++bin) {
     if (table_->load(bin) == 0) continue;
-    const std::uint64_t label = table_->pop_front(bin);
-    const std::uint64_t wait = msg.round - label;
-    wait_moments_.add(wait);
-    wait_histogram_.add(wait);
-    ++result.deleted;
+    waits.add(msg.round - table_->pop_front(bin));
   }
 
+  result.deleted = waits.count();
   result.total_load = table_->total_load();
   result.max_load = table_->max_load();
   result.empty_bins = table_->empty_bins();
-  result.wait_count = wait_moments_.count();
-  result.wait_sum = wait_moments_.sum();
-  result.wait_sumsq_hi = wait_moments_.sumsq_hi();
-  result.wait_sumsq_lo = wait_moments_.sumsq_lo();
-  result.wait_max = wait_histogram_.max();
-  result.wait_histogram = wait_histogram_.counts();
+  result.wait_count = waits.count();
+  result.wait_sum = waits.moments().sum();
+  result.wait_sumsq_hi = waits.moments().sumsq_hi();
+  result.wait_sumsq_lo = waits.moments().sumsq_lo();
+  result.wait_max = waits.max();
+  result.wait_histogram = waits.histogram().counts();
 
   round_ = msg.round;
   ++rounds_served_;

@@ -21,8 +21,6 @@
 
 #include "dist/protocol.hpp"
 #include "queueing/bin_table.hpp"
-#include "stats/histogram.hpp"
-#include "stats/int_moments.hpp"
 
 namespace iba::dist {
 
@@ -60,9 +58,6 @@ class Worker {
   std::uint64_t round_ = 0;  ///< last completed round
   std::optional<queueing::BinTable> table_;
   std::uint64_t rounds_served_ = 0;
-  // Per-round wait delta scratch, reset each round.
-  stats::UintMoments wait_moments_;
-  stats::Log2Histogram wait_histogram_;
 };
 
 }  // namespace iba::dist

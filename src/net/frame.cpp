@@ -1,5 +1,6 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string_view>
@@ -9,6 +10,10 @@
 namespace iba::net {
 
 namespace {
+
+/// Payload bytes read per step: the most a frame's length field can
+/// make read_frame allocate ahead of the bytes received.
+constexpr std::size_t kReadStep = std::size_t{1} << 20;
 
 void put_u32(std::uint8_t* out, std::uint32_t value) noexcept {
   for (int i = 0; i < 4; ++i) {
@@ -79,8 +84,16 @@ bool read_frame(int fd, std::uint32_t& type,
     throw FrameError("frame: payload length " + std::to_string(length) +
                      " exceeds ceiling " + std::to_string(max_payload));
   }
-  payload.resize(length);
-  if (length > 0) read_full(fd, payload.data(), length);
+  // Grow the buffer with the bytes that actually arrive, at most
+  // kReadStep beyond them: a corrupt length that passes the ceiling
+  // costs one step of memory before the stream runs dry, not `length`.
+  payload.clear();
+  while (payload.size() < length) {
+    const std::size_t have = payload.size();
+    const std::size_t step = std::min<std::size_t>(kReadStep, length - have);
+    payload.resize(have + step);
+    read_full(fd, payload.data() + have, step);
+  }
   if (frame_crc(type, length, payload) != crc) {
     throw FrameError("frame: CRC mismatch on type " + std::to_string(type) +
                      " (" + std::to_string(length) + " bytes)");

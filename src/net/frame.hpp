@@ -14,9 +14,10 @@
 // The CRC covers the type and length fields as well as the payload, so
 // a bit flip anywhere past the magic is detected; the magic itself
 // guards against stream desynchronization. read_frame enforces a
-// caller-chosen payload ceiling before allocating, so a corrupt length
-// can never balloon memory. Truncation surfaces as PeerClosed from the
-// underlying read_full; corruption as FrameError.
+// caller-chosen payload ceiling before allocating, and reads the payload
+// in 1 MiB steps, so a corrupt length below the ceiling allocates at most
+// one step beyond the bytes that actually arrive. Truncation surfaces as
+// PeerClosed from the underlying read_full; corruption as FrameError.
 //
 // WireWriter/WireReader are the little-endian scalar codecs the dist
 // protocol builds its payloads with — fixed-width, no varints, so every

@@ -56,15 +56,16 @@ struct Regime {
 };
 
 /// Zipf bin-choice sampler over n bins: P[i] ∝ 1/(i+1)^s via a
-/// Walker/Vose alias table (two engine draws per ball). Weights for
-/// integral s are computed with exact IEEE division/multiplication so
-/// the table — and therefore every trajectory — is platform-identical.
+/// Walker/Vose alias table (two engine words per ball, drawn in batches
+/// by AliasTable::fill). Weights for integral s are computed with exact
+/// IEEE division/multiplication so the table — and therefore every
+/// trajectory — is platform-identical.
 class ZipfBinSampler final : public core::BinChoiceSampler {
  public:
   ZipfBinSampler(std::uint32_t n, double s);
 
   void fill(core::Engine& engine, std::span<std::uint32_t> out) override {
-    for (auto& choice : out) choice = table_.sample(engine);
+    table_.fill(engine, out);
   }
 
   [[nodiscard]] const rng::AliasTable& table() const noexcept {

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -127,6 +128,21 @@ class Log2Histogram {
     for (const std::uint64_t c : h.counts_) h.total_ += c;
     h.max_ = max;
     return h;
+  }
+
+  /// Adds per-bin counts (bins as in add()) of samples whose maximum is
+  /// `max`. Equal to add()ing each sample: the bin vector grows only to
+  /// the highest non-empty bin.
+  void merge_counts(std::span<const std::uint64_t> counts,
+                    std::uint64_t max) {
+    std::size_t used = counts.size();
+    while (used > 0 && counts[used - 1] == 0) --used;
+    if (used > counts_.size()) counts_.resize(used, 0);
+    for (std::size_t i = 0; i < used; ++i) {
+      counts_[i] += counts[i];
+      total_ += counts[i];
+    }
+    if (max > max_) max_ = max;
   }
 
   void merge(const Log2Histogram& other) {

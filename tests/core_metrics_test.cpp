@@ -87,6 +87,42 @@ TEST(WaitRecorder, MomentsAccessorConsistent) {
   EXPECT_DOUBLE_EQ(recorder.moments().mean(), recorder.mean());
 }
 
+// Merging one RoundWaits per round must leave the recorder exactly as
+// per-ball record() does — histogram bin vector length included, since
+// checkpoints serialize it — and report() must fill the round's fields.
+TEST(RoundWaits, MergedRoundsEqualPerBallRecording) {
+  WaitRecorder per_ball;
+  WaitRecorder merged;
+  const std::vector<std::vector<std::uint64_t>> rounds = {
+      {}, {0}, {3, 1, 4, 1, 5}, {0, 0, 7}, {UINT64_MAX, 1ull << 40, 2}, {}};
+  for (const auto& round : rounds) {
+    iba::core::RoundWaits waits;
+    for (const std::uint64_t w : round) {
+      per_ball.record(w);
+      waits.add(w);
+    }
+    merged.merge(waits);
+    RoundMetrics m;
+    waits.report(m);
+    EXPECT_EQ(m.deleted, round.size());
+    EXPECT_EQ(m.wait_count, round.size());
+    EXPECT_EQ(m.wait_max,
+              round.empty() ? 0 : *std::max_element(round.begin(), round.end()));
+    EXPECT_EQ(waits.histogram().counts(), [&] {
+      iba::stats::Log2Histogram h;
+      for (const std::uint64_t w : round) h.add(w);
+      return h.counts();
+    }());
+    EXPECT_EQ(merged.histogram().counts(), per_ball.histogram().counts());
+    EXPECT_EQ(merged.histogram().total(), per_ball.histogram().total());
+    EXPECT_EQ(merged.max(), per_ball.max());
+    EXPECT_EQ(merged.count(), per_ball.count());
+    EXPECT_EQ(merged.moments().sum(), per_ball.moments().sum());
+    EXPECT_EQ(merged.moments().sumsq_hi(), per_ball.moments().sumsq_hi());
+    EXPECT_EQ(merged.moments().sumsq_lo(), per_ball.moments().sumsq_lo());
+  }
+}
+
 // The dyadic contract, stated precisely: for any sample set and any q,
 // quantile_upper_bound(q) is (a) >= the exact q-quantile and (b) < twice
 // the exact q-quantile rounded up to its bucket top — i.e. the bound is

@@ -1,20 +1,51 @@
 // Wire-level tests for the framed transport (net/frame.hpp) over real
 // AF_UNIX socketpairs: round trips, every corruption class the header
 // promises to detect (bit flips under the CRC, bad magic, oversized
-// length, truncation), and partial-read reassembly when the sender
-// dribbles bytes.
+// length, truncation), the allocation bound under a corrupt length, and
+// partial-read reassembly when the sender dribbles bytes.
 #include "net/frame.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/socket.hpp"
+
+// -- allocation recorder ------------------------------------------------
+// Every allocation of this binary goes through these operators, which
+// remember the largest request since the last reset: a reader that sizes
+// a buffer from a corrupt length field shows up there.
+namespace {
+
+std::atomic<std::size_t> g_largest_request{0};
+
+void* recorded_alloc(std::size_t size) {
+  std::size_t seen = g_largest_request.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_request.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return recorded_alloc(size); }
+void* operator new[](std::size_t size) { return recorded_alloc(size); }
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete[](void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::size_t) noexcept {
+  std::free(block);
+}
 
 namespace iba::net {
 namespace {
@@ -123,6 +154,32 @@ TEST(NetFrameTest, OversizedLengthIsRejectedBeforeAllocating) {
   std::vector<std::uint8_t> payload;
   EXPECT_THROW((void)read_frame(b.fd(), type, payload, /*max_payload=*/1024),
                FrameError);
+}
+
+TEST(NetFrameTest, LengthBitFlipAllocatesBoundedThenFails) {
+  // Under the default 1 GiB ceiling a flipped length bit can announce up
+  // to 1 GiB of payload that never arrives. The reader must grow its
+  // buffer with the bytes received, so each mutant costs under 2 MiB
+  // before it fails (truncation, CRC mismatch or the ceiling).
+  std::vector<std::uint8_t> body(300);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<std::uint8_t>(i * 13);
+  }
+  const std::vector<std::uint8_t> wire = encode_frame(9, body);
+  for (int bit = 0; bit < 32; ++bit) {
+    std::vector<std::uint8_t> mutant = wire;
+    mutant[8 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    auto [a, b] = socket_pair();
+    write_raw(a.fd(), mutant);
+    a.close();
+    std::uint32_t type = 0;
+    std::vector<std::uint8_t> payload;
+    g_largest_request.store(0);
+    EXPECT_THROW((void)read_frame(b.fd(), type, payload), NetError)
+        << "length bit " << bit;
+    EXPECT_LT(g_largest_request.load(), std::size_t{2} << 20)
+        << "length bit " << bit;
+  }
 }
 
 TEST(NetFrameTest, TruncationMidFrameThrowsPeerClosed) {
